@@ -8,7 +8,12 @@ many iterations the figure experiments can afford.
 
 import pytest
 
-from repro.algorithms import plan_broadcast, tune_barrier, tune_tree
+from repro.algorithms import (
+    plan_broadcast,
+    run_episodes,
+    tune_barrier,
+    tune_tree,
+)
 from repro.algorithms.barrier import barrier_programs
 from repro.bench import characterize, pin_threads
 from repro.sim import Engine
@@ -36,6 +41,17 @@ def test_engine_broadcast_256(benchmark, machine, capability):
         return engine.run(plan.programs()).makespan_ns
 
     assert benchmark(episode) > 0
+
+
+def test_run_episodes_broadcast_256(benchmark, machine, capability):
+    """One tuned sweep point's episode loop: the programs are built once
+    per call and rerun for every episode, so this tracks build + run."""
+    threads = pin_threads(machine.topology, 256, "scatter")
+    plan = plan_broadcast(capability, machine.topology, threads)
+
+    samples = benchmark(lambda: run_episodes(machine, plan.programs, 10))
+    assert samples.shape == (10,)
+    assert (samples > 0).all()
 
 
 def test_characterization_speed(benchmark, machine):

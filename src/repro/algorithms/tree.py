@@ -61,14 +61,22 @@ class Tree:
                 return nd
         raise ModelError(f"rank {rank} not in tree")
 
-    def parent_of(self, rank: int) -> Optional[int]:
+    def parents(self) -> Dict[int, Optional[int]]:
+        """Rank -> parent rank (``None`` for the root), in one pre-order
+        walk.  Program builders look every node's parent up here instead
+        of calling :meth:`parent_of` per node, which walks the tree each
+        time."""
+        out: Dict[int, Optional[int]] = {self.root.rank: None}
         for nd in self.root.walk():
             for c in nd.children:
-                if c.rank == rank:
-                    return nd.rank
-        if rank == self.root.rank:
-            return None
-        raise ModelError(f"rank {rank} not in tree")
+                out[c.rank] = nd.rank
+        return out
+
+    def parent_of(self, rank: int) -> Optional[int]:
+        parents = self.parents()
+        if rank not in parents:
+            raise ModelError(f"rank {rank} not in tree")
+        return parents[rank]
 
     def degrees(self) -> Dict[int, int]:
         return {nd.rank: nd.degree for nd in self.root.walk()}

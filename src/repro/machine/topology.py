@@ -97,6 +97,12 @@ class Topology:
         self.config = config
         rng = spawn(generator(seed), "topology")
         self._tiles = self._choose_active_tiles(config, rng)
+        # Sizes are fixed once the active tiles are chosen; the id-mapping
+        # queries below run once per simulated op, so they are plain
+        # attributes rather than recomputed properties.
+        self.n_tiles: int = len(self._tiles)
+        self.n_cores: int = self.n_tiles * config.cores_per_tile
+        self.n_threads: int = self.n_cores * config.threads_per_core
         self._slot_to_tile: Dict[int, Tile] = {t.slot: t for t in self._tiles}
         # Dense lookup arrays for hot paths.
         self._tile_rows = np.array([t.row for t in self._tiles])
@@ -150,18 +156,6 @@ class Topology:
         return tiles
 
     # -- sizes --------------------------------------------------------------
-
-    @property
-    def n_tiles(self) -> int:
-        return len(self._tiles)
-
-    @property
-    def n_cores(self) -> int:
-        return self.n_tiles * self.config.cores_per_tile
-
-    @property
-    def n_threads(self) -> int:
-        return self.n_cores * self.config.threads_per_core
 
     @property
     def tiles(self) -> Sequence[Tile]:

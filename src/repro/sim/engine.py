@@ -93,88 +93,106 @@ class Engine:
         threads = [p.thread for p in programs]
         if len(set(threads)) != len(threads):
             raise SimulationError("duplicate thread ids in program set")
-        progs: Dict[int, Program] = {p.thread: p for p in programs}
+        # Run state lives in locals: the programs are only read, so one
+        # program list can be rerun episode after episode, and one Engine
+        # holds no per-run state.
+        ops_of: Dict[int, List[Op]] = {p.thread: p.ops for p in programs}
+        # Each thread's core, resolved once per run rather than per op.
+        core_of = self.machine.topology.core_of_thread
+        cores: Dict[int, int] = {t: core_of(t) for t in threads}
         clock: Dict[int, float] = {t: 0.0 for t in threads}
         pc: Dict[int, int] = {t: 0 for t in threads}
         flags: Dict[str, _FlagState] = {}
         finished: Dict[int, float] = {}
 
+        record = self.record_trace
+        noisy = self.noisy
+        op_cost = self._op_cost
+        serve_poll = self._serve_poll
+        visibility_ns = self.machine.flag_visibility_ns
+        push, pop = heapq.heappush, heapq.heappop
+
         # Heap of (clock, tiebreak, thread). Blocked threads leave the heap.
         events: List[TraceEvent] = []
-        counter = itertools.count()
-        heap = [(0.0, next(counter), t) for t in threads]
+        tick = itertools.count().__next__
+        heap = [(0.0, tick(), t) for t in threads]
         heapq.heapify(heap)
         blocked: Dict[int, str] = {}  # thread -> flag name it waits on
 
         while heap:
-            now, _, t = heapq.heappop(heap)
+            now, _, t = pop(heap)
             if now != clock[t]:
                 continue  # stale entry
-            prog = progs[t]
-            if pc[t] >= len(prog.ops):
-                finished[t] = clock[t]
+            ops = ops_of[t]
+            i = pc[t]
+            if i >= len(ops):
+                finished[t] = now
                 continue
-            op = prog.ops[pc[t]]
-            if isinstance(op, PollFlag):
-                st = flags.setdefault(op.flag, _FlagState())
+            op = ops[i]
+            kind = type(op)
+            if kind is PollFlag:
+                st = flags.get(op.flag)
+                if st is None:
+                    st = flags[op.flag] = _FlagState()
                 if st.set_time is None:
                     blocked[t] = op.flag
                     st.waiters.append(t)
                     continue
-                arrival = clock[t]
-                clock[t] = self._serve_poll(st, op, t, arrival)
-                if self.record_trace:
+                finish = serve_poll(st, op, cores[t], now)
+                if record:
                     events.append(TraceEvent(
-                        t, pc[t], op, max(arrival, st.set_time), clock[t]
+                        t, i, op, max(now, st.set_time), finish
                     ))
-                pc[t] += 1
-                heapq.heappush(heap, (clock[t], next(counter), t))
+                clock[t] = finish
+                pc[t] = i + 1
+                push(heap, (finish, tick(), t))
                 continue
 
-            cost = self._op_cost(op, t)
-            if self.record_trace:
-                events.append(TraceEvent(t, pc[t], op, clock[t], clock[t] + cost))
-            clock[t] += cost
-            pc[t] += 1
-            if isinstance(op, WriteFlag):
-                st = flags.setdefault(op.flag, _FlagState())
+            done = now + op_cost(op, cores[t])
+            if record:
+                events.append(TraceEvent(t, i, op, now, done))
+            clock[t] = done
+            pc[t] = i + 1
+            if kind is WriteFlag:
+                st = flags.get(op.flag)
+                if st is None:
+                    st = flags[op.flag] = _FlagState()
                 if st.set_time is not None:
                     raise SimulationError(
                         f"flag {op.flag!r} written twice (by thread {t})"
                     )
-                st.set_time = clock[t] + self.machine.flag_visibility_ns(
-                    op.n_pollers, op.cold, noisy=self.noisy
+                st.set_time = done + visibility_ns(
+                    op.n_pollers, op.cold, noisy=noisy
                 )
-                st.writer_core = self._core(t)
-                # Wake waiters in their arrival (clock) order.  A wide
-                # wake (broadcast fan-out) batches all waiters' noise
-                # draws through one array kernel; a single waiter takes
-                # the scalar path.
-                waking = sorted(st.waiters, key=lambda x: clock[x])
-                if len(waking) > 1:
-                    finishes = self._serve_poll_batch(
-                        st, [(w, progs[w].ops[pc[w]], clock[w])
-                             for w in waking]
-                    )
-                else:
-                    finishes = [
-                        self._serve_poll(st, progs[w].ops[pc[w]], w, clock[w])
-                        for w in waking
-                    ]
-                for w, finish in zip(waking, finishes):
-                    wop = progs[w].ops[pc[w]]
-                    assert isinstance(wop, PollFlag) and wop.flag == op.flag
-                    warrival = clock[w]
-                    clock[w] = finish
-                    if self.record_trace:
-                        events.append(TraceEvent(
-                            w, pc[w], wop, max(warrival, st.set_time), clock[w]
-                        ))
-                    pc[w] += 1
-                    del blocked[w]
-                    heapq.heappush(heap, (clock[w], next(counter), w))
-                st.waiters.clear()
-            heapq.heappush(heap, (clock[t], next(counter), t))
+                st.writer_core = cores[t]
+                if st.waiters:
+                    # Wake waiters in their arrival (clock) order.  A wide
+                    # wake (broadcast fan-out) batches all waiters' noise
+                    # draws through one array kernel; a single waiter
+                    # takes the scalar path.
+                    waking = sorted(st.waiters, key=clock.__getitem__)
+                    st.waiters.clear()
+                    wops = [ops_of[w][pc[w]] for w in waking]
+                    if len(waking) > 1:
+                        finishes = self._serve_poll_batch(
+                            st, [(cores[w], wop, clock[w])
+                                 for w, wop in zip(waking, wops)]
+                        )
+                    else:
+                        w, wop = waking[0], wops[0]
+                        finishes = [serve_poll(st, wop, cores[w], clock[w])]
+                    for w, wop, finish in zip(waking, wops, finishes):
+                        assert type(wop) is PollFlag and wop.flag == op.flag
+                        if record:
+                            events.append(TraceEvent(
+                                w, pc[w], wop, max(clock[w], st.set_time),
+                                finish,
+                            ))
+                        clock[w] = finish
+                        pc[w] += 1
+                        del blocked[w]
+                        push(heap, (finish, tick(), w))
+            push(heap, (done, tick(), t))
 
         if blocked:
             missing = sorted(set(blocked.values()))
@@ -186,7 +204,7 @@ class Engine:
         # already in `finished`; catch any zero-op programs too.
         for t in threads:
             finished.setdefault(t, clock[t])
-        trace = Trace(events) if self.record_trace else None
+        trace = Trace(events) if record else None
         if trace is not None:
             self._publish_trace(trace)
         return RunResult(
@@ -216,11 +234,8 @@ class Engine:
 
     # ------------------------------------------------------------------
 
-    def _core(self, thread: int) -> int:
-        return self.machine.topology.core_of_thread(thread)
-
     def _serve_poll(
-        self, st: _FlagState, op: PollFlag, thread: int, arrival: float
+        self, st: _FlagState, op: PollFlag, reader: int, arrival: float
     ) -> float:
         """Completion time of a poller's transfer (flag + payload).
 
@@ -230,7 +245,6 @@ class Engine:
         T_C shape.
         """
         m = self.machine
-        reader = self._core(thread)
         start = max(arrival, st.set_time)
         base = m.flag_read_ns(reader, st.writer_core, noisy=self.noisy)
         if op.payload_bytes > CACHE_LINE_BYTES:
@@ -254,8 +268,8 @@ class Engine:
     def _serve_poll_batch(
         self, st: _FlagState, wakes: List[tuple]
     ) -> List[float]:
-        """Array-kernel twin of :meth:`_serve_poll` for a whole wake:
-        per-waiter solo costs are drawn in one vectorized noise call,
+        """Array-kernel twin of :meth:`_serve_poll` for a whole wake of
+        ``(reader core, op, arrival)`` triples: per-waiter solo costs are drawn in one vectorized noise call,
         the contention-queue recurrence folds over the results
         (:func:`repro.sim.kernels.flag_wake_finishes`)."""
         from repro.sim.kernels import flag_wake_finishes
@@ -264,9 +278,8 @@ class Engine:
         starts: List[float] = []
         base_true: List[float] = []
         extra: List[float] = []
-        for thread, op, arrival in wakes:
+        for reader, op, arrival in wakes:
             assert isinstance(op, PollFlag)
-            reader = self._core(thread)
             starts.append(max(arrival, st.set_time))
             base_true.append(
                 m.line_transfer_true_ns(reader, MESIF.MODIFIED, st.writer_core)
@@ -284,32 +297,34 @@ class Engine:
         )
         return finishes
 
-    def _op_cost(self, op: Op, thread: int) -> float:
+    def _op_cost(self, op: Op, core: int) -> float:
+        """Cost [ns] of one non-poll op on ``core``.  Op types are final,
+        so an exact type test picks the branch."""
         m = self.machine
-        core = self._core(thread)
         noisy = self.noisy
-        if isinstance(op, Delay):
+        kind = type(op)
+        if kind is WriteFlag:
+            return m.flag_write_ns(op.n_pollers, noisy=noisy)
+        if kind is Delay:
             return op.ns if not noisy else m.noise.jitter_only(op.ns)
-        if isinstance(op, Compute):
+        if kind is Compute:
             value = lines_in(op.nbytes) * op.ns_per_line
             return value if not noisy else m.noise.jitter_only(value)
-        if isinstance(op, LocalCopy):
+        if kind is LocalCopy:
             return m.multiline_ns(
                 core, op.nbytes, MESIF.EXCLUSIVE, core, "copy", noisy=noisy
             )
-        if isinstance(op, CopyFrom):
+        if kind is CopyFrom:
             return m.multiline_ns(
                 core, op.nbytes, op.state, op.owner_core, "copy",
                 vectorized=op.vectorized, noisy=noisy,
             )
-        if isinstance(op, MemRead):
+        if kind is MemRead:
             lat = m.memory_latency_ns(core, kind=op.kind, noisy=noisy)
             stream = op.nbytes / 8.0  # single-thread ~8 GB/s (§V-B)
             return lat + (m.noise.jitter_only(stream) if noisy else stream)
-        if isinstance(op, MemWrite):
+        if kind is MemWrite:
             bw = 8.0 if op.nt else 8.0 * 0.52
             stream = op.nbytes / bw
             return (m.noise.jitter_only(stream) if noisy else stream)
-        if isinstance(op, WriteFlag):
-            return m.flag_write_ns(op.n_pollers, noisy=noisy)
         raise SimulationError(f"unknown op {op!r}")

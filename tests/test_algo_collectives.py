@@ -15,6 +15,7 @@ from repro.algorithms import (
 )
 from repro.bench import pin_threads
 from repro.errors import ModelError
+from repro.machine import KNLMachine
 from repro.sim import Engine
 
 
@@ -172,3 +173,37 @@ class TestSpeedups:
         )
         assert samples.shape == (7,)
         assert (samples > 0).all()
+
+
+class TestEpisodeReuse:
+    """run_episodes builds once and reruns the programs; every episode
+    must cost exactly what a freshly built program list would."""
+
+    @pytest.mark.parametrize("collective", ["barrier", "broadcast", "reduce"])
+    def test_reuse_matches_rebuild(self, machine, capability, collective):
+        from repro.algorithms.barrier import barrier_programs, tune_barrier
+
+        threads = pin_threads(machine.topology, 32, "fill_tiles")
+        if collective == "barrier":
+            tb = tune_barrier(capability, len(threads))
+            builders = [
+                lambda: barrier_programs(threads, tb.rounds, tb.arity),
+                lambda: baselines.mpi_barrier_programs(threads),
+            ]
+        elif collective == "broadcast":
+            builders = [
+                plan_broadcast(capability, machine.topology, threads).programs,
+                lambda: baselines.omp_broadcast_programs(threads),
+            ]
+        else:
+            builders = [
+                plan_reduce(capability, machine.topology, threads).programs,
+                lambda: baselines.mpi_reduce_programs(threads),
+            ]
+        reused = KNLMachine(machine.config, seed=77)
+        rebuilt = KNLMachine(machine.config, seed=77)
+        for build in builders:
+            samples = run_episodes(reused, build, 6)
+            engine = Engine(rebuilt, noisy=True)
+            fresh = [engine.run(build()).makespan_ns for _ in range(6)]
+            assert samples.tolist() == fresh

@@ -11,6 +11,7 @@ from repro.apps import (
     parallel_mergesort,
     sequential_mergesort,
 )
+from repro.algorithms import Tree, tune_tree
 from repro.bench.stats import boxplot_stats, linear_fit, median_ci
 from repro.machine.bandwidth import smooth_min
 from repro.machine.mesh import Mesh
@@ -175,3 +176,35 @@ class TestSmoothMinProperties:
         v = smooth_min(d, c)
         assert v <= min(d, c) + 1e-9
         assert v >= 0.8 * min(d, c)
+
+
+def _parent_by_search(tree, rank):
+    """Reference parent lookup: scan the whole tree for the node that
+    lists ``rank`` as a child."""
+    for nd in tree.root.walk():
+        if any(c.rank == rank for c in nd.children):
+            return nd.rank
+    return None
+
+
+class TestTreeParentsProperties:
+    @staticmethod
+    def _check(tree):
+        parents = tree.parents()
+        ranks = [nd.rank for nd in tree.root.walk()]
+        assert sorted(parents) == sorted(ranks)
+        for rank in ranks:
+            assert parents[rank] == tree.parent_of(rank)
+            assert parents[rank] == _parent_by_search(tree, rank)
+
+    @given(data=st.data(), n=st.integers(1, 256))
+    @settings(max_examples=40, deadline=None)
+    def test_binomial(self, data, n):
+        root = data.draw(st.integers(0, n - 1))
+        self._check(Tree.binomial(n, root=root))
+
+    @given(n=st.integers(1, 64), payload=st.sampled_from([64, 256, 4096]),
+           is_reduce=st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_tuned(self, capability, n, payload, is_reduce):
+        self._check(tune_tree(capability, n, payload, is_reduce=is_reduce).tree)

@@ -160,3 +160,27 @@ class TestOpCosts:
             for _ in range(5)
         }
         assert len(runs) > 1
+
+
+class TestProgramsReadOnly:
+    """The engine only reads a Program: one program list can be rerun
+    for every episode (:func:`repro.algorithms.run_episodes` relies on
+    this)."""
+
+    def test_run_leaves_programs_unmodified(self, machine, capability):
+        from repro.algorithms import baselines, plan_broadcast, plan_reduce
+        from repro.bench import pin_threads
+
+        threads = pin_threads(machine.topology, 64, "scatter")
+        program_sets = [
+            plan_broadcast(capability, machine.topology, threads).programs(),
+            plan_reduce(capability, machine.topology, threads).programs(),
+            baselines.omp_barrier_programs(threads),
+            baselines.mpi_broadcast_programs(threads),
+        ]
+        eng = Engine(machine, noisy=True, record_trace=True)
+        for programs in program_sets:
+            before = [(p.thread, list(p.ops), len(p)) for p in programs]
+            for _ in range(2):
+                eng.run(programs)
+            assert [(p.thread, list(p.ops), len(p)) for p in programs] == before
