@@ -26,10 +26,11 @@ def run_episodes(
 ) -> np.ndarray:
     """Makespan samples [ns] over ``iterations`` episodes.
 
-    ``build`` is called once and its programs rerun for every episode:
-    building is not cheap (a quarter of a sweep point's time when it
-    ran per episode), and the engine only reads a :class:`Program`, so
-    every episode of one program list starts from the same state.
+    ``build`` is called once and its programs rerun for every episode.
+    Building is not cheap: on the Figs. 6-8 sweeps it costs about a
+    third as much as running the episodes.  The engine only reads a
+    :class:`Program`, so every episode of one program list starts from
+    the same state.
     Noise is drawn at run time from the machine model, so each episode
     still sees fresh jitter, different poll winners, and occasional
     outliers — the spread in the paper's boxplots.

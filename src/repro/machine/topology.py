@@ -97,9 +97,9 @@ class Topology:
         self.config = config
         rng = spawn(generator(seed), "topology")
         self._tiles = self._choose_active_tiles(config, rng)
-        # Sizes are fixed once the active tiles are chosen; the id-mapping
-        # queries below run once per simulated op, so they are plain
-        # attributes rather than recomputed properties.
+        # Sizes are fixed once the active tiles are chosen.  The id-mapping
+        # queries below read them in the benchmarks' inner loops, so they
+        # are computed here once.
         self.n_tiles: int = len(self._tiles)
         self.n_cores: int = self.n_tiles * config.cores_per_tile
         self.n_threads: int = self.n_cores * config.threads_per_core
