@@ -30,10 +30,9 @@ def run_episodes(
     Building is not cheap: on the Figs. 6-8 sweeps it costs about a
     third as much as running the episodes.  The engine only reads a
     :class:`Program`, so every episode of one program list starts from
-    the same state.
-    Noise is drawn at run time from the machine model, so each episode
-    still sees fresh jitter, different poll winners, and occasional
-    outliers — the spread in the paper's boxplots.
+    the same state.  Noise is drawn at run time from the machine model,
+    so each episode still sees fresh jitter, different poll winners,
+    and occasional outliers — the spread in the paper's boxplots.
     """
     engine = Engine(machine, noisy=noisy)
     programs = build()

@@ -269,8 +269,9 @@ class Engine:
         self, st: _FlagState, wakes: List[tuple]
     ) -> List[float]:
         """Array-kernel twin of :meth:`_serve_poll` for a whole wake of
-        ``(reader core, op, arrival)`` triples: per-waiter solo costs are drawn in one vectorized noise call,
-        the contention-queue recurrence folds over the results
+        ``(reader core, op, arrival)`` triples: per-waiter solo costs are
+        drawn in one vectorized noise call, the contention-queue
+        recurrence folds over the results
         (:func:`repro.sim.kernels.flag_wake_finishes`)."""
         from repro.sim.kernels import flag_wake_finishes
 
